@@ -41,6 +41,7 @@ from repro.lang.prims import PRIMITIVES, PrimSpec
 from repro.pe.backend import ResidualProgram
 from repro.runtime.values import NIL, UNSPECIFIED, Pair, Unspecified
 from repro.sexp.datum import Char, Symbol, sym
+from repro.vm.instructions import BASE_OPCODES
 from repro.vm.machine import Machine, VmClosure
 from repro.vm.template import Template
 
@@ -298,8 +299,6 @@ def _encode_template_body(enc: _Encoder, template: Template) -> None:
 
 
 def _decode_template_body(dec: _Decoder) -> Template:
-    from repro.vm.instructions import Op
-
     name = dec.string()
     arity = dec.uvarint()
     nlocals = dec.uvarint()
@@ -309,14 +308,11 @@ def _decode_template_body(dec: _Decoder) -> Template:
     code = []
     for _ in range(ninstrs):
         opnum = dec.uvarint()
-        try:
-            op = Op(opnum)
-        except ValueError:
-            raise CodecError(
-                f"template {name}: unknown opcode {opnum}"
-            ) from None
+        # Images carry the base ISA only: fused opcodes are run-time-only.
+        if opnum not in BASE_OPCODES:
+            raise CodecError(f"template {name}: unknown opcode {opnum}")
         noperands = dec.count("operand")
-        code.append((op, *(dec.svarint() for _ in range(noperands))))
+        code.append((opnum, *(dec.svarint() for _ in range(noperands))))
     nliterals = dec.count("literal")
     literals = tuple(_decode_value(dec) for _ in range(nliterals))
     return Template(

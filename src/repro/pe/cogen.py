@@ -607,13 +607,19 @@ class CompiledGeneratingExtension:
 
 def _seq(codes: list, env: dict, rt: _Runtime, k: Callable) -> Any:
     """Run compiled argument codes left to right, collecting values."""
+    return _seq_from(codes, 0, [], env, rt, k)
 
-    def go(i: int, acc: list) -> Any:
-        if i == len(codes):
-            return k(acc)
-        return codes[i](env, rt, lambda v: go(i + 1, acc + [v]))
 
-    return go(0, [])
+def _seq_from(
+    codes: list, i: int, acc: list, env: dict, rt: _Runtime, k: Callable
+) -> Any:
+    # Not a self-referencing local closure: that would be a reference
+    # cycle, leaving every chained continuation to the cyclic GC.
+    if i == len(codes):
+        return k(acc)
+    return codes[i](
+        env, rt, lambda v: _seq_from(codes, i + 1, acc + [v], env, rt, k)
+    )
 
 
 def _freeze(value: Any, cache: FreezeCache) -> Any:

@@ -59,7 +59,8 @@ def assemble(
             if id(label) in label_positions:
                 raise AssemblyError(f"label attached twice: {label!r}")
             label_positions[id(label)] = position
-        encoded: list = [instr.op]
+        # Code vectors hold plain-int opcodes (see vm.instructions).
+        encoded: list = [int(instr.op)]
         for operand_idx, operand in enumerate(instr.operands):
             if isinstance(operand, Label):
                 if instr.op not in BRANCH_OPS:

@@ -32,11 +32,33 @@ class Op(IntEnum):
         return self.name
 
 
+# Opcode values as plain ints.  Code vectors hold these, never ``Op``
+# members: loading an ``Op`` member and comparing it costs several times
+# an int compare, and tuples of plain ints are untracked by the cyclic
+# GC.  ``Op`` names opcodes (disassembly, errors) and keys the dispatch
+# table; consumers of code vectors compare by value against these.
+CONST = int(Op.CONST)
+LOCAL = int(Op.LOCAL)
+CLOSED = int(Op.CLOSED)
+GLOBAL = int(Op.GLOBAL)
+PUSH = int(Op.PUSH)
+SETLOC = int(Op.SETLOC)
+PRIM = int(Op.PRIM)
+MAKE_CLOSURE = int(Op.MAKE_CLOSURE)
+JUMP = int(Op.JUMP)
+JUMP_IF_FALSE = int(Op.JUMP_IF_FALSE)
+CALL = int(Op.CALL)
+TAIL_CALL = int(Op.TAIL_CALL)
+RETURN = int(Op.RETURN)
+
+# Every base opcode value (an image or template may carry no other).
+BASE_OPCODES = frozenset(int(op) for op in Op)
+
 # Opcodes whose single operand is a literal-frame index.
-LITERAL_OPERAND_OPS = frozenset({Op.CONST, Op.GLOBAL})
+LITERAL_OPERAND_OPS = frozenset({CONST, GLOBAL})
 
 # Opcodes whose first operand is a literal-frame index and second is a count.
-LITERAL_COUNT_OPS = frozenset({Op.PRIM, Op.MAKE_CLOSURE})
+LITERAL_COUNT_OPS = frozenset({PRIM, MAKE_CLOSURE})
 
 # Opcodes whose operand is a jump target.
-BRANCH_OPS = frozenset({Op.JUMP, Op.JUMP_IF_FALSE})
+BRANCH_OPS = frozenset({JUMP, JUMP_IF_FALSE})

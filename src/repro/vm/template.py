@@ -11,12 +11,16 @@ import hashlib
 from dataclasses import dataclass
 from typing import Any, Tuple
 
+from repro.vm.instructions import Op
+
+_OPCODE_NAMES = {int(op): op.name for op in Op}
+
 
 @dataclass(frozen=True, slots=True)
 class Template:
     """Assembled, executable object code for one procedure body."""
 
-    code: Tuple[tuple, ...]       # (op, operand, ...) tuples, targets resolved
+    code: Tuple[tuple, ...]       # (int opcode, operand, ...), targets resolved
     literals: Tuple[Any, ...]     # constants, symbols, prim specs, templates
     arity: int                    # number of parameters
     nlocals: int                  # total local slots (params + temporaries)
@@ -104,8 +108,13 @@ def _content_digest(template: Template, memo: dict[int, str]) -> str:
         f"\x00{template.nlocals}\x00".encode()
     )
     for instr in template.code:
-        # Op has a custom name repr; operands are ints — both stable.
-        hasher.update(repr(tuple(instr)).encode())
+        # The text ``repr`` gave when code vectors held ``Op`` members
+        # (``(CONST, 0)``; fused opcodes as plain ints), so digests stay
+        # stable and a hand-built ``Op`` tuple digests like its int twin.
+        op = instr[0]
+        parts = [_OPCODE_NAMES.get(op) or repr(op), *map(repr, instr[1:])]
+        text = ", ".join(parts) if len(parts) > 1 else parts[0] + ","
+        hasher.update(f"({text})".encode())
         hasher.update(b"\x00")
     for lit in template.literals:
         if isinstance(lit, Template):

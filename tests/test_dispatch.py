@@ -39,6 +39,7 @@ class TestTable:
     def test_every_opcode_has_exactly_one_spec(self):
         assert set(TABLE) == set(Op)
         assert len(ORDER) == len(Op)
+        assert set(ORDER) == set(Op)
 
     def test_operand_counts_match_instruction_classification(self):
         # The table must agree with instructions.py about encoding.
@@ -92,10 +93,24 @@ class TestDriftGate:
         prod = production_loop_source()
         count = counting_loop_source()
         assert "profile" in count and "profile" not in prod
-        # Both render every opcode arm.
+        # Both render every opcode arm, as an int-literal compare.
         for op in Op:
-            assert f"Op.{op.name}" in prod
-            assert f"Op.{op.name}" in count
+            arm = f"op == {int(op)}:  # {op.name}"
+            assert arm in prod
+            assert arm in count
+
+    @pytest.mark.parametrize("counting", [False, True])
+    def test_no_op_attribute_load_inside_the_dispatch_loop(self, counting):
+        # Every arm compares plain ints: an ``Op.<NAME>`` load inside the
+        # loop body would be paid on every dispatched instruction.
+        plan = make_plan([(Op.PUSH, Op.PRIM), (Op.LOCAL, Op.PUSH, Op.PRIM)])
+        render = counting_loop_source if counting else production_loop_source
+        for source in (render(), render(plan)):
+            body = source[source.index("    while True:"):]
+            assert "Op." not in body
+        # The run-time compiled loop has no ``Op`` name to resolve at all.
+        loop = build_loop(plan, counting=counting)
+        assert "Op" not in loop.__code__.co_names
 
 
 class TestSuperinstructionRegistry:
@@ -154,7 +169,9 @@ class TestBuildLoop:
         src = production_loop_source(plan)
         fused = superinstruction((Op.CONST, Op.PUSH))
         assert f"op == {fused.opcode}" in src
-        assert src.index(f"op == {fused.opcode}") < src.index("Op.CONST")
+        assert src.index(f"op == {fused.opcode}:") < src.index(
+            f"op == {int(Op.CONST)}:"
+        )
 
     def test_empty_plan_matches_checked_in_loop(self):
         from repro.vm.machine import Machine

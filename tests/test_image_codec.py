@@ -195,6 +195,23 @@ class TestFraming:
         with pytest.raises(CodecError, match="trailing"):
             decode_template(framed)
 
+    @pytest.mark.parametrize("opnum", [0, 14, 64])
+    def test_opcode_outside_the_base_isa_is_rejected(self, opnum):
+        # Images carry the base ISA only; 64 is the first fused opcode,
+        # a run-time-only representation that is never persisted.
+        t = Template(
+            code=((int(Op.CONST), 0), (int(Op.RETURN),)),
+            literals=(1,), arity=0, nlocals=0, name="t",
+        )
+        data = encode_template(t)
+        assert decode_template(data).code == t.code
+        bad = Template(
+            code=((opnum, 0), (int(Op.RETURN),)),
+            literals=(1,), arity=0, nlocals=0, name="t",
+        )
+        with pytest.raises(CodecError, match=f"unknown opcode {opnum}"):
+            decode_template(encode_template(bad))
+
     def test_not_a_template_payload(self):
         gen = make_generating_extension(POWER, "DS", goal="power")
         img = encode_residual(gen.to_object_code([3]))

@@ -116,6 +116,17 @@ class TestMutationsRejected:
         t = _tmpl([(999, 0), (Op.RETURN,)])
         _sole_error(t, ViolationKind.BAD_OPCODE, 0)
 
+    @pytest.mark.parametrize("opnum", [0, 14, 64])
+    def test_plain_int_outside_the_base_isa_is_a_bad_opcode(self, opnum):
+        # Just below and above the base range, and the first fused
+        # opcode: the verifier checks the base ISA only.
+        t = _tmpl([(opnum, 0), (Op.RETURN,)])
+        _sole_error(t, ViolationKind.BAD_OPCODE, 0)
+
+    def test_unhashable_opcode_is_a_bad_opcode(self):
+        t = _tmpl([([1], 0), (Op.RETURN,)])
+        _sole_error(t, ViolationKind.BAD_OPCODE, 0)
+
     def test_bad_operand_count(self):
         t = _tmpl([(Op.CONST,), (Op.RETURN,)], literals=(1,))
         _sole_error(t, ViolationKind.BAD_OPERANDS, 0)
